@@ -29,7 +29,6 @@ from .bench import (
 )
 from . import obs
 from .clustering import MultilevelConfig, multilevel_partition
-from .core import CORES, get_core, resolve_core, set_core, use_core
 from .errors import (
     BenchmarkError,
     GraphError,

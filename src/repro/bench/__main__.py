@@ -38,12 +38,10 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..core import CORES, set_core
 from ..errors import ReproError
 from ..parallel import BACKENDS, resolve_parallel
 from .specs import BENCHMARKS, spec_names
@@ -492,13 +490,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "fits' standard errors (default 0.2)",
     )
     parser.add_argument(
-        "--core", choices=CORES, default=None,
-        help="hypergraph core representation for every benched run: "
-        "dict (reference) or csr (vectorised flat arrays).  Results "
-        "are bit-identical either way — only the timings move; "
-        "default: $REPRO_CORE or dict",
-    )
-    parser.add_argument(
         "--serving-scenario", action="store_true",
         help="run a short gated load test instead of the suite: boot a "
         "private in-process server, drive a mixed closed-loop workload "
@@ -525,10 +516,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "p99=2.0,error_rate=0.01 (failing one exits nonzero)",
     )
     args = parser.parse_args(argv)
-
-    if args.core:
-        set_core(args.core)
-        os.environ["REPRO_CORE"] = args.core
 
     if args.list:
         _print_spec_list()

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import obs
 from .bench import build_circuit, spec_names
-from .core import CORES, set_core
 from .errors import ReproError
 from .hypergraph import Hypergraph, describe, load_json, load_net, save_net
 from .partitioning import PartitionResult
@@ -212,12 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "any worker count",
     )
     parser.add_argument(
-        "--core", choices=CORES, default=None,
-        help="hypergraph core representation: dict (reference) or csr "
-        "(vectorised flat arrays).  Results are bit-identical either "
-        "way; default: $REPRO_CORE or dict",
-    )
-    parser.add_argument(
         "--backend", choices=BACKENDS, default=None,
         help="parallel backend (default: $REPRO_BACKEND, or process "
         "when --workers > 1)",
@@ -322,13 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    if args.core:
-        # Install for this process and export for process-pool
-        # workers (results are core-independent; the env var only
-        # keeps the workers on the same fast path).
-        set_core(args.core)
-        os.environ["REPRO_CORE"] = args.core
 
     if args.profile_mem and not (args.trace_json or args.trace_html):
         # Memory attribution with no trace output means the user wants

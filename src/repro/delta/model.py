@@ -444,7 +444,7 @@ class NetlistDelta:
             added_nets=tuple(added_nets),
             changed_nets=tuple(sorted(changed)),
         )
-        _maybe_patch_csr(base, application)
+        _patch_csr(base, application)
         return application
 
     def apply(self, base: Hypergraph) -> Hypergraph:
@@ -565,18 +565,13 @@ class NetlistDelta:
             raise DeltaError(f"malformed delta document: {exc}") from None
 
 
-def _maybe_patch_csr(base: Hypergraph, application: DeltaApplication) -> None:
+def _patch_csr(base: Hypergraph, application: DeltaApplication) -> None:
     """Install the edited hypergraph's CSR twin by patching the base's.
 
-    Only when the base twin is already materialised (or the CSR core is
-    active, which would materialise it on first touch anyway): unchanged
-    net rows are spliced across with vectorised gathers, so Python-level
-    row assembly is paid only for the nets the delta actually touched.
+    Unchanged net rows are spliced across with vectorised gathers, so
+    Python-level row assembly is paid only for the nets the delta
+    actually touched.
     """
-    from ..core import csr_active
-
-    if base._csr is None and not csr_active():
-        return
     from .csrpatch import patched_csr
 
     application.hypergraph._csr = patched_csr(base, application)

@@ -45,9 +45,9 @@ class Graph:
         self._total_weight = 0.0
         # Optional (indptr, indices, data) numpy triple describing the
         # symmetric adjacency in canonical CSR form (rows complete,
-        # columns sorted).  Populated by bulk builders (the CSR-core
-        # intersection build) or lazily by repro.graph.laplacian;
-        # invalidated by any mutation.
+        # columns sorted).  Installed by bulk builders (the intersection
+        # build) or built lazily by csr_arrays(); invalidated by any
+        # mutation.
         self._csr_cache = None
 
     # ------------------------------------------------------------------

@@ -337,7 +337,7 @@ class Hypergraph:
         return sum(k * (k - 1) for k in self.net_sizes())
 
     # ------------------------------------------------------------------
-    # CSR core
+    # CSR incidence twin
     # ------------------------------------------------------------------
     @property
     def csr(self):

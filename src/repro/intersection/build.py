@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple, Union
 
-from ..core import csr_active
 from ..graph import Graph
 from ..hypergraph import Hypergraph
 from ..obs import incr, span
@@ -37,7 +36,8 @@ class EdgeState(NamedTuple):
     One entry per edge ``(edge_a[i], edge_b[i])`` with ``a < b``, weight
     ``weights[i]``, and ``first_mod[i]`` the smallest shared module.
     Entries are in canonical order — sorted by ``(first_mod, a, b)``,
-    the dict path's first-encounter order — so replaying them through
+    the first-encounter order of the per-edge loop over
+    :func:`shared_module_map` — so replaying them through
     :func:`graph_from_edge_state` reproduces a cold build's adjacency
     byte for byte.  This is the representation the incremental ECO
     machinery (:mod:`repro.delta`) stores and patches.
@@ -85,7 +85,11 @@ def intersection_graph(
     weighting:
         Either a scheme name (``"paper"``, ``"unit"``, ``"overlap"``,
         ``"jaccard"``) or a callable; see
-        :mod:`repro.intersection.weights`.
+        :mod:`repro.intersection.weights`.  Names take the vectorised
+        :func:`intersection_edge_state` build, which also installs the
+        graph's CSR adjacency; callables are evaluated per edge.  Both
+        give the same graph, down to edge insertion order and weight
+        bits.
 
     Returns
     -------
@@ -96,44 +100,19 @@ def intersection_graph(
         "intersection.build", nets=h.num_nets, modules=h.num_modules
     ) as sp:
         if isinstance(weighting, str):
-            name = weighting
-            weighting = get_weighting(name)
-            if csr_active():
-                g = _intersection_graph_csr(h, name)
-                sp.set(edges=g.num_edges)
-                incr("intersection.builds")
-                incr("intersection.edges", g.num_edges)
-                return g
-        g = Graph(h.num_nets)
-        for (net_a, net_b), shared in shared_module_map(h).items():
-            weight = weighting(h, net_a, net_b, shared)
-            if weight > 0:
-                g.add_edge(net_a, net_b, weight)
+            g = graph_from_edge_state(
+                h.num_nets, intersection_edge_state(h, weighting)
+            )
+        else:
+            g = Graph(h.num_nets)
+            for (net_a, net_b), shared in shared_module_map(h).items():
+                weight = weighting(h, net_a, net_b, shared)
+                if weight > 0:
+                    g.add_edge(net_a, net_b, weight)
         sp.set(edges=g.num_edges)
         incr("intersection.builds")
         incr("intersection.edges", g.num_edges)
     return g
-
-
-def _intersection_graph_csr(h: Hypergraph, weighting_name: str) -> Graph:
-    """Vectorised ``G'`` construction from CSR incidence arrays.
-
-    Bit-identical to the dict path by construction:
-
-    * edges are inserted into the :class:`Graph` in the dict path's
-      first-encounter order — sorted by (minimum shared module, a, b) —
-      so every downstream adjacency iteration sees the same sequence;
-    * weights are computed with the same IEEE operations in the same
-      order (per-module contributions accumulate lowest module first,
-      one add per step, exactly like the sequential Python loop).
-
-    Named weightings only; callables take the reference path.
-    """
-    return graph_from_edge_state(
-        h.num_nets,
-        intersection_edge_state(h, weighting_name),
-        set_csr=True,
-    )
 
 
 def intersection_edge_state(
@@ -142,8 +121,11 @@ def intersection_edge_state(
     """Compute the canonical :class:`EdgeState` of ``h`` vectorised.
 
     Named weightings only (the warm-start machinery needs a name it can
-    re-evaluate per edge); weight values are bitwise identical to both
-    cold build paths.  Touches ``h.csr`` (materialising it if needed).
+    re-evaluate per edge).  Edge order and weight bits equal the per-edge
+    loop over ``get_weighting(weighting_name)``: per-module contributions
+    accumulate lowest module first, one IEEE add per step, exactly like
+    the sequential Python sum.  Touches ``h.csr`` (materialising it if
+    needed).
     """
     import numpy as np
 
@@ -156,7 +138,7 @@ def intersection_edge_state(
     # Enumerate every (module, net_a, net_b) co-incidence, batching
     # modules by degree so each batch is one fancy-indexed gather plus
     # one triu pair expansion (lexicographic (a, b) within a module,
-    # matching the dict path's nested loop).
+    # matching shared_module_map's nested loop).
     pair_a_parts = []
     pair_b_parts = []
     pair_mod_parts = []
@@ -180,7 +162,7 @@ def intersection_edge_state(
     b = np.concatenate(pair_b_parts)
     mod = np.concatenate(pair_mod_parts)
     # Group co-incidences by edge; within a group modules stay
-    # ascending, which is the order the dict path's shared lists
+    # ascending, which is the order shared_module_map's lists
     # accumulate in.
     order = np.lexsort((mod, b, a))
     a, b, mod = a[order], b[order], mod[order]
@@ -226,15 +208,14 @@ def intersection_edge_state(
 
 
 def graph_from_edge_state(
-    num_nets: int, state: EdgeState, set_csr: bool = True
+    num_nets: int, state: EdgeState, *, set_csr: bool = True
 ) -> Graph:
     """Materialise a :class:`~repro.graph.Graph` from an edge state.
 
     Edges are inserted in array order — canonical states reproduce the
-    cold builds' adjacency iteration order exactly.  With ``set_csr``
-    the symmetric CSR adjacency is installed too (the CSR-core cold path
-    always does; the dict path never does — pass ``csr_active()`` to
-    mirror whichever cold build the caller is standing in for).
+    cold build's adjacency iteration order exactly — and the symmetric
+    CSR adjacency is always installed.  ``set_csr`` is ignored; it is
+    accepted only so older callers that still pass it keep working.
     """
     import numpy as np
 
@@ -244,8 +225,6 @@ def graph_from_edge_state(
         edge_a.tolist(), edge_b.tolist(), weights.tolist()
     ):
         g.add_edge(u, v, w)
-    if not set_csr:
-        return g
 
     # Hand downstream consumers (Laplacian assembly, vectorised König
     # classification) the canonical symmetric CSR adjacency for free.

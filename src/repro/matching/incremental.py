@@ -27,7 +27,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterator, List, Optional
 
-from ..core import csr_active
+import numpy as np
+
 from ..errors import MatchingError
 from ..graph import Graph
 from .bipartite import BipartiteGraph
@@ -74,18 +75,10 @@ class IncrementalMatching:
         self._match: List[int] = [-1] * n
         self._left_count = n
         self._matching_size = 0
-        # Epoch-stamped visit marks let classify() run without
-        # reallocating per split.
-        self._visit_l = [0] * n
-        self._visit_r = [0] * n
-        self._epoch = 0
-        # Flat adjacency cache: the per-split alternating BFS touches
-        # every edge, so the Graph method-call overhead would dominate
+        # Flat adjacency cache: the augmenting searches walk it on every
+        # sweep move, so the Graph method-call overhead would dominate
         # the whole sweep (Theorem 6's inner loop).
         self._adjacency = [list(graph.neighbors(v)) for v in range(n)]
-        # Lazily-built numpy (indptr, indices) mirror of the adjacency,
-        # used by the vectorised classify() under the csr core.
-        self._np_adjacency = None
         #: Plain-int telemetry, always maintained (a few integer adds
         #: per sweep move): successful augmenting paths applied,
         #: searches attempted, and total vertices visited by augmenting
@@ -310,104 +303,16 @@ class IncrementalMatching:
         maintains; with a maximum matching the reaches from the two sides
         are disjoint, so the six classes partition the vertices.
 
-        Under the csr core the alternating reachability is computed as
-        a numpy frontier BFS instead of the Python queue.  The marked
-        set is a fixed point of the alternating-reachability relation —
-        independent of visit order — so the codes are identical.
+        The alternating reachability is a numpy frontier BFS over the
+        graph's CSR adjacency (:meth:`Graph.csr_arrays`).  The marked
+        set is a fixed point of the alternating-reachability relation,
+        independent of visit order.
         """
-        if csr_active():
-            return self._classify_vectorised()
-        self._epoch += 1
-        self._alternating_mark(_LEFT, self._visit_l)
-        self._alternating_mark(_RIGHT, self._visit_r)
-        epoch = self._epoch
-        codes = [0] * self.num_vertices
-        for v in range(self.num_vertices):
-            if self._side[v] == _LEFT:
-                if self._visit_l[v] == epoch:
-                    codes[v] = VertexClass.EVEN_L
-                elif self._visit_r[v] == epoch:
-                    codes[v] = VertexClass.ODD_R
-                else:
-                    codes[v] = VertexClass.CORE_L
-            else:
-                if self._visit_r[v] == epoch:
-                    codes[v] = VertexClass.EVEN_R
-                elif self._visit_l[v] == epoch:
-                    codes[v] = VertexClass.ODD_L
-                else:
-                    codes[v] = VertexClass.CORE_R
-        return codes
-
-    def _alternating_mark(self, from_side: int, visit: List[int]) -> None:
-        """Mark everything alternating-reachable from ``from_side``'s
-        unmatched vertices in ``visit`` with the current epoch."""
-        epoch = self._epoch
-        side = self._side
-        match = self._match
-        adjacency = self._adjacency
-        queue = deque()
-        for v in range(self.num_vertices):
-            if side[v] == from_side and match[v] == -1:
-                visit[v] = epoch
-                queue.append(v)
-        while queue:
-            u = queue.popleft()
-            u_side = side[u]
-            for w in adjacency[u]:
-                if side[w] == u_side or visit[w] == epoch:
-                    continue
-                # (u, w) is a crossing non-matching edge (w unmarked, so
-                # it cannot be u's partner, which is marked with u).
-                visit[w] = epoch
-                mate = match[w]
-                if mate != -1 and visit[mate] != epoch:
-                    visit[mate] = epoch
-                    queue.append(mate)
-        # Note: unmatched start vertices were marked before the loop, and
-        # every vertex entered mid-loop is matched (else the matching
-        # would not be maximum).
-
-    # ------------------------------------------------------------------
-    # Vectorised classification (csr core)
-    # ------------------------------------------------------------------
-    def _ensure_np_adjacency(self):
-        if self._np_adjacency is None:
-            import numpy as np
-
-            cache = self._graph._csr_cache
-            if cache is not None:
-                self._np_adjacency = (cache[0], cache[1])
-            else:
-                n = self.num_vertices
-                counts = np.fromiter(
-                    (len(a) for a in self._adjacency),
-                    dtype=np.int64,
-                    count=n,
-                )
-                indptr = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(counts, out=indptr[1:])
-                indices = np.fromiter(
-                    (w for a in self._adjacency for w in a),
-                    dtype=np.int64,
-                    count=int(indptr[-1]),
-                )
-                self._np_adjacency = (indptr, indices)
-        return self._np_adjacency
-
-    def _classify_vectorised(self) -> List[int]:
-        import numpy as np
-
-        n = self.num_vertices
-        indptr, indices = self._ensure_np_adjacency()
+        indptr, indices, _ = self._graph.csr_arrays()
         side = np.asarray(self._side, dtype=np.int8)
         match = np.asarray(self._match, dtype=np.int64)
-        reach_l = self._alternating_mark_vectorised(
-            _LEFT, side, match, indptr, indices
-        )
-        reach_r = self._alternating_mark_vectorised(
-            _RIGHT, side, match, indptr, indices
-        )
+        reach_l = self._alternating_mark(_LEFT, side, match, indptr, indices)
+        reach_r = self._alternating_mark(_RIGHT, side, match, indptr, indices)
         left = side == _LEFT
         codes = np.where(left, VertexClass.CORE_L, VertexClass.CORE_R)
         codes[left & reach_r] = VertexClass.ODD_R
@@ -417,19 +322,15 @@ class IncrementalMatching:
         return codes.tolist()
 
     @staticmethod
-    def _alternating_mark_vectorised(
-        from_side, side, match, indptr, indices
-    ):
-        """The marked set of :meth:`_alternating_mark` as a bool array.
+    def _alternating_mark(from_side, side, match, indptr, indices):
+        """Everything alternating-reachable from ``from_side``'s
+        unmatched vertices, as a bool array.
 
         Frontier BFS over alternating layers: unmatched ``from_side``
         vertices seed the frontier; each round marks their unvisited
         opposite-side neighbours, then advances the frontier to those
-        neighbours' unvisited mates.  Computes the same least fixed
-        point the sequential queue does.
+        neighbours' unvisited mates, until no new vertex is marked.
         """
-        import numpy as np
-
         visited = np.zeros(side.size, dtype=bool)
         frontier = np.flatnonzero((side == from_side) & (match == -1))
         visited[frontier] = True

@@ -85,7 +85,7 @@ class LinkedGainBuckets:
         sequence — but the bound is preset from the data, so the build
         never triggers an O(bound) ``fm.bucket_grows`` reallocation.
         This is the natural entry point for gain vectors computed in
-        bulk by the CSR core's vectorised FM initialisation.
+        bulk by the vectorised FM initialisation.
         """
         gain_list = [int(g) for g in gains]
         if max_gain is None:

@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core import csr_active
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
 from ..obs import emit, incr, is_enabled, span
@@ -165,21 +164,7 @@ class FMEngine:
         self.side_area = [0.0, 0.0]
         for v, s in enumerate(self.sides):
             self.side_area[s] += areas[v]
-        if csr_active():
-            self._init_counts_csr()
-        else:
-            self.pin_count = [[0, 0] for _ in range(h.num_nets)]
-            for net, pins in h.iter_nets():
-                for pin in pins:
-                    self.pin_count[net][self.sides[pin]] += 1
-            self.cut = sum(
-                1
-                for counts in self.pin_count
-                if counts[0] > 0 and counts[1] > 0
-            )
-            self.gains = [
-                self._compute_gain(v) for v in range(h.num_modules)
-            ]
+        self._init_counts()
         # Stats of the most recent run_pass (moved/kept/best_value).
         self.last_pass = {"moved": 0, "kept": 0, "best_value": 0.0}
 
@@ -232,15 +217,16 @@ class FMEngine:
         return engine
 
     # ------------------------------------------------------------------
-    def _init_counts_csr(self) -> None:
-        """Vectorised pin-count / cut / gain initialisation (csr core).
+    def _init_counts(self) -> None:
+        """Vectorised pin-count / cut / gain initialisation.
 
         Pure integer arithmetic over the flat CSR pin arrays, so the
-        results equal the reference loops exactly: bincount the pins by
-        side for per-net counts, then sum each pin's FS/TE critical-net
-        contribution per module.  Only initialisation is vectorised —
-        the incremental :meth:`move` bookkeeping and bucket insertion
-        order (which is visit-order-sensitive) stay untouched.
+        results equal a per-pin loop with :meth:`_compute_gain` exactly:
+        bincount the pins by side for per-net counts, then sum each
+        pin's FS/TE critical-net contribution per module.  Only
+        initialisation is vectorised — the incremental :meth:`move`
+        bookkeeping and bucket insertion order (which is
+        visit-order-sensitive) stay untouched.
         """
         import numpy as np
 

@@ -30,6 +30,8 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
 from ..intersection import intersection_graph
@@ -131,27 +133,22 @@ class SweepWarmStart:
 
 
 class _SweepArrays:
-    """Precomputed flat pin arrays for the vectorised Phase II.
+    """Flat pin arrays for the vectorised Phase II.
 
     ``pin_modules[i]`` / ``pin_nets[i]`` give the module and net of the
-    i-th pin; ``net_valid`` masks nets with >= 2 pins (the only ones
-    that can be cut).  Built once per sweep, O(pins).
+    i-th pin, read from the CSR net rows of ``h.csr``; ``net_valid``
+    masks nets with >= 2 pins (the only ones that can be cut).  Built
+    once per sweep.
     """
 
     def __init__(self, h: Hypergraph, use_net_weights: bool = False):
-        import numpy as np
-
-        modules = []
-        nets = []
-        for net, pins in h.iter_nets():
-            for p in pins:
-                modules.append(p)
-                nets.append(net)
-        self.pin_modules = np.asarray(modules, dtype=np.int64)
-        self.pin_nets = np.asarray(nets, dtype=np.int64)
-        self.net_valid = np.asarray(
-            [h.net_size(j) >= 2 for j in range(h.num_nets)]
+        csr = h.csr
+        sizes = np.diff(csr.net_indptr)
+        self.pin_modules = csr.net_indices
+        self.pin_nets = np.repeat(
+            np.arange(h.num_nets, dtype=np.int64), sizes
         )
+        self.net_valid = sizes >= 2
         if use_net_weights and h.has_net_weights:
             self.net_weights = np.asarray(h.net_weights, dtype=float)
         else:
@@ -160,19 +157,24 @@ class _SweepArrays:
         self.num_nets = h.num_nets
 
 
-def _evaluate_split_vectorised(
+def _evaluate_split(
     arrays: _SweepArrays,
     codes: List[int],
     rank: int,
     matching_size: int,
 ) -> Tuple[Optional[SplitEvaluation], Optional[List[int]]]:
-    """Vectorised Phase II, equivalent to :func:`_evaluate_split`.
+    """Phase II of the main loop: complete the module partition.
 
-    (The pure-Python version remains the readable reference; the test
-    suite asserts both produce identical evaluations.)
+    ``codes[net]`` is the König class of each net (R = nets already
+    swept, i.e. the first ``rank`` of the ordering).  Winner nets pin
+    their modules; unassigned modules are tried on the L side and on the
+    R side and the better ratio cut wins.
+
+    Returns the evaluation and the module assignment array (values
+    ``_L_SIDE``/``_R_SIDE``/``_UNASSIGNED``) for the winning option, or
+    ``(None, None)`` when both completions are degenerate (one side
+    empty).
     """
-    import numpy as np
-
     codes_arr = np.asarray(codes, dtype=np.int8)
     net_class = codes_arr[arrays.pin_nets]
     assign = np.full(arrays.num_modules, _UNASSIGNED, dtype=np.int8)
@@ -183,6 +185,8 @@ def _evaluate_split_vectorised(
     num_r = int(np.count_nonzero(assign == _R_SIDE))
     num_n = arrays.num_modules - num_l - num_r
 
+    # Per-net pin counts on each side classify every net under both
+    # completions at once.
     pin_sides = assign[arrays.pin_modules]
     m = arrays.num_nets
     in_l = np.bincount(
@@ -196,6 +200,7 @@ def _evaluate_split_vectorised(
     )
 
     valid = arrays.net_valid
+    # Core → L: uncut iff all pins land in L (in_r == 0) or all in R.
     uncut_core_l = (in_r == 0) | ((in_l == 0) & (in_n == 0))
     uncut_core_r = (in_l == 0) | ((in_r == 0) & (in_n == 0))
     if arrays.net_weights is None:
@@ -224,80 +229,7 @@ def _evaluate_split_vectorised(
         ratio_cut=ratio_core_l if core_to_l else ratio_core_r,
         assign_core_to_l=core_to_l,
     )
-    # Converted lazily by the caller; only the best split's assignment
-    # is ever materialised.
     return evaluation, assign.tolist()
-
-
-def _evaluate_split(
-    h: Hypergraph,
-    codes: List[int],
-    rank: int,
-    matching_size: int,
-) -> Tuple[Optional[SplitEvaluation], Optional[List[int]]]:
-    """Phase II of the main loop: complete the module partition.
-
-    ``codes[net]`` is the König class of each net (R = nets already swept,
-    i.e. the first ``rank`` of the ordering).  Winner nets pin their
-    modules; unassigned modules are tried on the L side and on the R side
-    and the better ratio cut wins.
-
-    Returns the evaluation and the module assignment array (values
-    ``_L_SIDE``/``_R_SIDE``/``_UNASSIGNED``) for the winning option, or
-    ``(None, None)`` when both completions are degenerate (one side
-    empty).
-    """
-    n = h.num_modules
-    assign = [_UNASSIGNED] * n
-    for net in range(h.num_nets):
-        code = codes[net]
-        if code == VertexClass.EVEN_L:
-            for pin in h.pins(net):
-                assign[pin] = _L_SIDE
-        elif code == VertexClass.EVEN_R:
-            for pin in h.pins(net):
-                assign[pin] = _R_SIDE
-
-    num_l = assign.count(_L_SIDE)
-    num_r = assign.count(_R_SIDE)
-    num_n = n - num_l - num_r
-
-    # One pass over the pins classifies each net under both completions.
-    cut_if_core_l = 0  # unassigned modules join the L side
-    cut_if_core_r = 0
-    for net in range(h.num_nets):
-        pins = h.pins(net)
-        if len(pins) < 2:
-            continue
-        in_l = in_r = in_n = 0
-        for pin in pins:
-            side = assign[pin]
-            if side == _L_SIDE:
-                in_l += 1
-            elif side == _R_SIDE:
-                in_r += 1
-            else:
-                in_n += 1
-        # Core → L: uncut iff all pins land in L (in_r == 0) or all in R.
-        if not (in_r == 0 or (in_l == 0 and in_n == 0)):
-            cut_if_core_l += 1
-        if not (in_l == 0 or (in_r == 0 and in_n == 0)):
-            cut_if_core_r += 1
-
-    ratio_core_l = ratio_cut_cost(cut_if_core_l, num_l + num_n, num_r)
-    ratio_core_r = ratio_cut_cost(cut_if_core_r, num_l, num_r + num_n)
-    if ratio_core_l == float("inf") and ratio_core_r == float("inf"):
-        return None, None
-
-    core_to_l = ratio_core_l <= ratio_core_r
-    evaluation = SplitEvaluation(
-        rank=rank,
-        matching_size=matching_size,
-        nets_cut=cut_if_core_l if core_to_l else cut_if_core_r,
-        ratio_cut=ratio_core_l if core_to_l else ratio_core_r,
-        assign_core_to_l=core_to_l,
-    )
-    return evaluation, assign
 
 
 def _materialise(
@@ -386,15 +318,7 @@ def ig_match_sweep(
     complete_seconds = 0.0
     t_mark = 0.0
     with span("igmatch.sweep", nets=num_nets) as sweep_span:
-        # The vectorised Phase II pays off once circuits are
-        # non-trivial; the pure-Python version stays as the readable
-        # reference (and the tests assert they agree).  The weighted
-        # objective is only implemented in the vectorised path.
-        arrays = (
-            _SweepArrays(h, use_weights)
-            if (num_nets >= 64 or use_weights)
-            else None
-        )
+        arrays = _SweepArrays(h, use_weights)
         for index in range(start_index, stop_index):
             net = order[index]
             if profiling:
@@ -411,14 +335,9 @@ def ig_match_sweep(
                 now = time.perf_counter()
                 match_seconds += now - t_mark
                 t_mark = now
-            if arrays is not None:
-                evaluation, assign = _evaluate_split_vectorised(
-                    arrays, codes, rank, matcher.matching_size
-                )
-            else:
-                evaluation, assign = _evaluate_split(
-                    h, codes, rank, matcher.matching_size
-                )
+            evaluation, assign = _evaluate_split(
+                arrays, codes, rank, matcher.matching_size
+            )
             if profiling:
                 complete_seconds += time.perf_counter() - t_mark
             if evaluation is None:

@@ -48,7 +48,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..obs.trace import new_trace_id
 from ..clustering import MultilevelConfig, multilevel_partition
-from ..core import use_core
 from ..errors import ReproError
 from ..hypergraph import Hypergraph
 from ..parallel import ParallelConfig
@@ -180,24 +179,13 @@ def run_partitioner(
     h: Hypergraph,
     request: PartitionRequest,
     parallel: Optional[ParallelConfig] = None,
-    core: Optional[str] = None,
     capture: Optional[Dict[str, Any]] = None,
 ) -> PartitionResult:
     """Run the requested algorithm directly (no cache involvement).
 
-    ``core`` selects the hypergraph core representation for this call
-    (``"dict"`` or ``"csr"``); ``None`` inherits the ambient setting
-    (``repro.core.set_core`` / ``$REPRO_CORE``).  Like ``parallel``, it
-    never affects results — the cores are bit-identical by contract —
-    only wall-clock time, so it does not enter any cache fingerprint.
     ``capture`` (ig-match only) receives the warm-start seed the
     serving sessions store; it never changes the result.
     """
-    if core is not None:
-        with use_core(core):
-            return run_partitioner(
-                h, request, parallel=parallel, capture=capture
-            )
     algorithm = request.algorithm
     seed = request.seed
     if algorithm == "ig-match":
@@ -409,7 +397,6 @@ class PartitionEngine:
         slow_threshold_s: float = 1.0,
         slow_capacity: int = 32,
         memprof: bool = False,
-        core: Optional[str] = None,
         sessions: Optional[SessionStore] = None,
     ):
         self.cache = cache
@@ -417,12 +404,6 @@ class PartitionEngine:
         #: Live warm-start sessions for ``POST /partition/delta``
         #: (always on; bounded LRU+TTL, see :class:`SessionStore`).
         self.sessions = sessions if sessions is not None else SessionStore()
-        #: Hypergraph core for computes (``"dict"``/``"csr"``; ``None``
-        #: inherits the ambient setting).  Bit-identical by contract,
-        #: so it never enters cache fingerprints — entries written by a
-        #: dict-core server are hits for a csr-core server and vice
-        #: versa.
-        self.core = core
         #: ``True`` forces per-span memory attribution on for every
         #: request's :class:`~repro.obs.TraceCapture` (``repro-serve
         #: --memprof``); ``False`` inherits whatever the surrounding
@@ -664,8 +645,7 @@ class PartitionEngine:
         self._count("service.computed")
         start = time.perf_counter()
         result = run_partitioner(
-            h, request, parallel=self.parallel, core=self.core,
-            capture=capture,
+            h, request, parallel=self.parallel, capture=capture,
         )
         self.hists.observe(
             "service.compute.duration_seconds",

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import threading
@@ -79,7 +78,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, IO, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from ..core import CORES
 from ..errors import ReproError
 from ..hypergraph import Hypergraph, from_json, loads_net
 from ..obs import render_prometheus, render_slow_html
@@ -822,13 +820,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         help="parallel backend (default: $REPRO_BACKEND)",
     )
     parser.add_argument(
-        "--core", choices=CORES, default=None,
-        help="hypergraph core representation for computes: dict "
-        "(reference) or csr (vectorised flat arrays).  Served results "
-        "are bit-identical either way, and cache entries are shared "
-        "across cores; default: $REPRO_CORE or dict",
-    )
-    parser.add_argument(
         "--access-log", metavar="PATH", default=None,
         help="append JSON-lines access/error log entries to PATH "
         "(default: stderr)",
@@ -870,14 +861,11 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     if args.memory_budget is not None:
         cache_kwargs["memory_budget"] = args.memory_budget
     try:
-        if args.core:
-            os.environ["REPRO_CORE"] = args.core
         engine = PartitionEngine(
             cache=ResultCache(**cache_kwargs),
             parallel=resolve_parallel(args.workers, args.backend),
             slow_threshold_s=args.slow_threshold,
             memprof=args.memprof,
-            core=args.core,
         )
         access_log = AccessLog(path=args.access_log, quiet=args.quiet)
         server = create_server(

@@ -3,8 +3,9 @@
 The algebraic properties (``apply(invert(d))`` is the identity;
 compose-then-apply equals apply-then-apply) are checked with hypothesis
 over :func:`tests.strategies.adversarial_csr_hypergraphs` — the same
-degenerate-shape generator the CSR core is fuzzed with — and on both
-hypergraph cores, since ``apply`` also patches the CSR twin.
+degenerate-shape generator the CSR substrate is fuzzed with — both with
+the patched CSR twin ``apply`` installs (``csr``) and with the twin
+rebuilt from scratch (``dict``, :func:`tests.oracles.reference_paths`).
 """
 
 import json
@@ -14,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import use_core
 from repro.delta import (
     DELTA_FORMAT,
     ModuleAdd,
@@ -27,11 +27,10 @@ from repro.delta import (
     save_delta,
 )
 from repro.errors import DeltaError
-from repro.hypergraph import Hypergraph
+from repro.hypergraph import CsrHypergraph, Hypergraph
 from repro.service import exact_fingerprint
+from tests.oracles import PATHS, run_on
 from tests.strategies import adversarial_csr_hypergraphs
-
-CORES = ("dict", "csr")
 
 
 @pytest.fixture
@@ -97,31 +96,31 @@ class TestValidation:
 
 
 class TestAlgebra:
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("paths", PATHS)
     @settings(max_examples=40, deadline=None)
     @given(
         h=adversarial_csr_hypergraphs(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_apply_invert_is_identity(self, core, h, seed):
+    def test_apply_invert_is_identity(self, paths, h, seed):
         delta = random_delta(h, random.Random(seed))
-        with use_core(core):
+        with run_on(paths):
             edited = delta.apply(h)
             restored = delta.invert(h).apply(edited)
         assert exact_fingerprint(restored) == exact_fingerprint(h)
 
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("paths", PATHS)
     @settings(max_examples=40, deadline=None)
     @given(
         h=adversarial_csr_hypergraphs(),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_compose_equals_sequential_apply(self, core, h, seed):
+    def test_compose_equals_sequential_apply(self, paths, h, seed):
         rng = random.Random(seed)
         first = random_delta(h, rng)
         middle = first.apply(h)
         second = random_delta(middle, rng)
-        with use_core(core):
+        with run_on(paths):
             composed = first.compose(second, h).apply(h)
             sequential = second.apply(first.apply(h))
         assert exact_fingerprint(composed) == exact_fingerprint(
@@ -134,14 +133,30 @@ class TestAlgebra:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_apply_identical_across_cores(self, h, seed):
+        """The patched CSR twin ``apply`` installs equals the twin
+        rebuilt from the edited tuples, array for array."""
         delta = random_delta(h, random.Random(seed))
-        with use_core("dict"):
-            from_dict = delta.apply(h)
-        with use_core("csr"):
-            from_csr = delta.apply(h)
-        assert exact_fingerprint(from_dict) == exact_fingerprint(
-            from_csr
-        )
+        edited = delta.apply(h)
+        patched = edited._csr
+        assert patched is not None
+        rebuilt = CsrHypergraph.from_hypergraph(edited)
+        for field in (
+            "net_indptr",
+            "net_indices",
+            "module_indptr",
+            "module_indices",
+            "module_areas",
+            "net_weights",
+        ):
+            got, want = getattr(patched, field), getattr(rebuilt, field)
+            if want is None:
+                assert got is None, field
+            else:
+                assert got.dtype == want.dtype, field
+                assert got.tobytes() == want.tobytes(), field
+        assert patched.module_names == rebuilt.module_names
+        assert patched.net_names == rebuilt.net_names
+        assert patched.name == rebuilt.name
 
     def test_noop_apply_preserves_fingerprint(self, base):
         assert exact_fingerprint(

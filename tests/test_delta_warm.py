@@ -1,5 +1,7 @@
 """Warm-start differential contracts: warm must equal cold where it
-overlaps, on both hypergraph cores.
+overlaps, with the product on its own paths (``csr``) and with every
+cold-path layer swapped for its oracle (``dict``,
+:func:`tests.oracles.reference_paths`).
 
 * the patched intersection edge state is bitwise the cold rebuild;
 * every warm sweep evaluation equals the cold sweep's at the same rank,
@@ -17,7 +19,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import use_core
 from repro.delta import (
     NetlistDelta,
     dumps_delta,
@@ -26,7 +27,7 @@ from repro.delta import (
     updated_edge_state,
     warm_partition,
 )
-from repro.intersection import intersection_edge_state
+from repro.intersection import build
 from repro.partitioning import FMEngine, IGMatchConfig, ig_match_sweep
 from repro.partitioning.igmatch import SweepWarmStart
 from repro.service import (
@@ -37,8 +38,7 @@ from repro.service import (
 )
 from repro.service.engine import result_to_payload
 from tests.conftest import random_hypergraph
-
-CORES = ("dict", "csr")
+from tests.oracles import PATHS, run_on
 
 
 def _base(seed=5):
@@ -59,18 +59,20 @@ def _direct_artifacts(h, request):
 
 
 class TestEdgeStatePatch:
-    @pytest.mark.parametrize("core", CORES)
-    def test_patched_state_bitwise_equals_cold(self, core):
+    @pytest.mark.parametrize("paths", PATHS)
+    def test_patched_state_bitwise_equals_cold(self, paths):
         h = _base()
         rng = random.Random(11)
-        with use_core(core):
-            state = intersection_edge_state(h)
+        with run_on(paths):
+            # Looked up on the module so the dict paths' per-edge
+            # oracle stands in for the cold build.
+            state = build.intersection_edge_state(h)
             for _ in range(5):
                 delta = random_delta(h, rng)
                 application = delta.apply_detailed(h)
                 h2 = application.hypergraph
                 patched = updated_edge_state(h, state, application)
-                cold = intersection_edge_state(h2)
+                cold = build.intersection_edge_state(h2)
                 np.testing.assert_array_equal(
                     patched.edge_a, cold.edge_a
                 )
@@ -87,11 +89,11 @@ class TestEdgeStatePatch:
 
 
 class TestWarmSweep:
-    @pytest.mark.parametrize("core", CORES)
-    def test_warm_evaluations_equal_cold_at_same_ranks(self, core):
+    @pytest.mark.parametrize("paths", PATHS)
+    def test_warm_evaluations_equal_cold_at_same_ranks(self, paths):
         h = _base(seed=9)
         config = IGMatchConfig(seed=0)
-        with use_core(core):
+        with run_on(paths):
             cold_capture = {}
             cold_evals, cold_part = ig_match_sweep(
                 h, config, capture=cold_capture
@@ -153,12 +155,12 @@ class TestWarmSweep:
 
 
 class TestWarmFM:
-    @pytest.mark.parametrize("core", CORES)
-    def test_patched_engine_state_equals_cold_rebuild(self, core):
+    @pytest.mark.parametrize("paths", PATHS)
+    def test_patched_engine_state_equals_cold_rebuild(self, paths):
         h = _base(seed=3)
         request = _request("fm")
         rng = random.Random(21)
-        with use_core(core):
+        with run_on(paths):
             _result, artifacts = _direct_artifacts(h, request)
             for _ in range(3):
                 delta = random_delta(h, rng)
@@ -177,16 +179,16 @@ class TestWarmFM:
 
 
 class TestWarmPartition:
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("paths", PATHS)
     @pytest.mark.parametrize("algorithm", ["ig-match", "fm"])
     def test_served_delta_equals_direct_warm_partition(
-        self, core, algorithm
+        self, paths, algorithm
     ):
         h = _base(seed=7)
         request = _request(algorithm)
         delta = random_delta(h, random.Random(13))
         doc = json.loads(dumps_delta(delta))
-        with use_core(core):
+        with run_on(paths):
             engine = PartitionEngine()
             base_served = engine.partition(h, request)
             served = engine.partition_delta(
@@ -203,13 +205,13 @@ class TestWarmPartition:
             served.result
         ) == canonical_result_bytes(direct)
 
-    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("paths", PATHS)
     @pytest.mark.parametrize("algorithm", ["ig-match", "fm"])
-    def test_noop_delta_byte_identical_to_cold(self, core, algorithm):
+    def test_noop_delta_byte_identical_to_cold(self, paths, algorithm):
         h = _base(seed=2)
         request = _request(algorithm)
         noop = json.loads(dumps_delta(NetlistDelta()))
-        with use_core(core):
+        with run_on(paths):
             engine = PartitionEngine()
             base_served = engine.partition(h, request)
             served = engine.partition_delta(

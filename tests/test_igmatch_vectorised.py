@@ -1,16 +1,13 @@
-"""The vectorised Phase II must match the pure-Python reference exactly."""
+"""The vectorised Phase II must match the pure-Python oracle exactly."""
 
 import pytest
 
 from repro.intersection import intersection_graph
 from repro.matching import IncrementalMatching
-from repro.partitioning.igmatch import (
-    _SweepArrays,
-    _evaluate_split,
-    _evaluate_split_vectorised,
-)
+from repro.partitioning.igmatch import _SweepArrays, _evaluate_split
 from repro.spectral import spectral_ordering
 from tests.conftest import random_hypergraph
+from tests.oracles import evaluate_split, reference_paths
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -23,10 +20,10 @@ def test_vectorised_equals_reference(seed):
     for index, net in enumerate(order[:-1]):
         matcher.move_to_right(net)
         codes = matcher.classify()
-        ref_eval, ref_assign = _evaluate_split(
+        ref_eval, ref_assign = evaluate_split(
             h, codes, index + 1, matcher.matching_size
         )
-        vec_eval, vec_assign = _evaluate_split_vectorised(
+        vec_eval, vec_assign = _evaluate_split(
             arrays, codes, index + 1, matcher.matching_size
         )
         assert ref_eval == vec_eval
@@ -47,26 +44,18 @@ def test_degenerate_nets_agree():
     for rank, net in enumerate([0, 3], start=1):
         matcher.move_to_right(net)
         codes = matcher.classify()
-        ref = _evaluate_split(h, codes, rank, matcher.matching_size)
-        vec = _evaluate_split_vectorised(
-            arrays, codes, rank, matcher.matching_size
-        )
+        ref = evaluate_split(h, codes, rank, matcher.matching_size)
+        vec = _evaluate_split(arrays, codes, rank, matcher.matching_size)
         assert ref[0] == vec[0]
 
 
-def test_large_circuit_same_final_partition(medium_circuit, monkeypatch):
-    """End-to-end: forcing the reference evaluator on a circuit above
-    the vectorisation threshold yields the identical partition."""
+def test_large_circuit_same_final_partition(medium_circuit):
+    """End-to-end: the oracle Phase II (and every other reference
+    layer) on a non-trivial circuit yields the identical partition."""
     from repro.partitioning import IGMatchConfig, ig_match
-    from repro.partitioning import igmatch as igmatch_module
 
     fast = ig_match(medium_circuit, IGMatchConfig(seed=0))
-
-    # `_SweepArrays(h)` returning None routes every split through the
-    # pure-Python reference path.
-    monkeypatch.setattr(
-        igmatch_module, "_SweepArrays", lambda h, *args: None
-    )
-    reference = ig_match(medium_circuit, IGMatchConfig(seed=0))
+    with reference_paths():
+        reference = ig_match(medium_circuit, IGMatchConfig(seed=0))
     assert fast.partition.sides == reference.partition.sides
     assert fast.nets_cut == reference.nets_cut
